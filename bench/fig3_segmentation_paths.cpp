@@ -47,7 +47,7 @@ int main() {
                 100.0 * delay_penalty(sc, c));
   }
   std::printf("(paper penalties: SDFC 4.69%%, SDPC 2.28%% — our boundary\n"
-              " hardware is costlier, see EXPERIMENTS.md E4)\n");
+              " hardware is costlier, see README \"Calibration\")\n");
 
   // Structural inventory of the segmented slices.
   for (Scheme s : {Scheme::kSDFC, Scheme::kSDPC}) {

@@ -1,6 +1,6 @@
 // E1 — regenerates Table 1 of the paper (5x5 crossbar, 128-bit flits,
 // 45 nm, 3 GHz, 50 % static probability) and prints a paper-vs-
-// measured comparison.  See EXPERIMENTS.md for the discussion.
+// measured comparison.  See README, "Calibration", for the fit.
 
 #include <cstdio>
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace lain::circuit {
@@ -10,34 +11,6 @@ namespace {
 // Fraction of the gate area that still tunnels when the channel is off
 // (gate-to-drain/source overlap, edge direct tunneling).
 constexpr double kOverlapFraction = 0.08;
-
-// Current through one MOSFET given terminal voltages, positive from
-// the high S/D terminal to the low one.  ON devices conduct through
-// their effective resistance; OFF devices leak subthreshold current.
-double channel_current(const tech::DeviceModel& model, const tech::Mosfet& mos,
-                       double vg, double va, double vb) {
-  // va/vb are the two S/D terminals; orient so current flows hi -> lo.
-  const double hi = std::max(va, vb);
-  const double lo = std::min(va, vb);
-  const double vds = hi - lo;
-  if (vds <= 0.0) return 0.0;
-  double vgs;  // effective gate overdrive reference
-  if (mos.type == tech::DeviceType::kNmos) {
-    vgs = vg - lo;  // NMOS source is the low terminal
-  } else {
-    vgs = hi - vg;  // PMOS source is the high terminal
-  }
-  const double vth = model.vth_v(mos, vds);
-  if (vgs > vth) {
-    // ON: resistive conduction.  Scale resistance with remaining
-    // overdrive so partially-on devices conduct weakly.
-    const double r_full = model.eff_resistance_ohm(mos);
-    const double od_full = model.vdd_v() - vth;
-    const double scale = std::max((vgs - vth) / std::max(od_full, 1e-9), 1e-3);
-    return vds / (r_full / scale);
-  }
-  return model.subthreshold_a(mos, vgs, vds);
-}
 
 }  // namespace
 
@@ -57,22 +30,64 @@ void NodeVoltages::set_logic(NodeId node, bool high) {
 }
 
 LeakageSolver::LeakageSolver(const Netlist& nl, const tech::DeviceModel& model)
-    : nl_(nl), model_(model), node_devices_(nl.node_count()) {
-  for (std::size_t i = 0; i < nl.device_count(); ++i) {
-    const Device& d = nl.device(static_cast<DeviceId>(i));
-    node_devices_[static_cast<size_t>(d.drain)].push_back(
-        static_cast<DeviceId>(i));
-    node_devices_[static_cast<size_t>(d.source)].push_back(
-        static_cast<DeviceId>(i));
+    : nl_(nl), model_(model), adj_begin_(nl.node_count() + 1, 0) {
+  devs_.reserve(nl.device_count());
+  for (const Device& d : nl.devices()) {
+    const double r_on = model.ion_a(d.mos) > 0.0
+                            ? model.eff_resistance_ohm(d.mos)
+                            : std::numeric_limits<double>::quiet_NaN();
+    devs_.push_back({d.mos, d.gate, d.drain, d.source, r_on});
+    ++adj_begin_[static_cast<size_t>(d.drain) + 1];
+    ++adj_begin_[static_cast<size_t>(d.source) + 1];
+  }
+  for (std::size_t n = 1; n < adj_begin_.size(); ++n) {
+    adj_begin_[n] += adj_begin_[n - 1];
+  }
+  adj_.resize(adj_begin_.back());
+  std::vector<std::size_t> next(adj_begin_.begin(), adj_begin_.end() - 1);
+  for (std::size_t i = 0; i < devs_.size(); ++i) {
+    const Dev& d = devs_[i];
+    adj_[next[static_cast<size_t>(d.drain)]++] = static_cast<DeviceId>(i);
+    adj_[next[static_cast<size_t>(d.source)]++] = static_cast<DeviceId>(i);
   }
 }
 
-double LeakageSolver::device_current_into(const Device& d, NodeId node,
-                                          const std::vector<double>& v) const {
+// Current through one MOSFET given terminal voltages, positive from
+// the high S/D terminal to the low one.  ON devices conduct through
+// their effective resistance; OFF devices leak subthreshold current.
+double LeakageSolver::channel_current(const Dev& d, double vg, double va,
+                                      double vb) const {
+  // va/vb are the two S/D terminals; orient so current flows hi -> lo.
+  const double hi = std::max(va, vb);
+  const double lo = std::min(va, vb);
+  const double vds = hi - lo;
+  if (vds <= 0.0) return 0.0;
+  double vgs;  // effective gate overdrive reference
+  if (d.mos.type == tech::DeviceType::kNmos) {
+    vgs = vg - lo;  // NMOS source is the low terminal
+  } else {
+    vgs = hi - vg;  // PMOS source is the high terminal
+  }
+  const double vth = model_.vth_v(d.mos, vds);
+  if (vgs > vth) {
+    // ON: resistive conduction.  Scale resistance with remaining
+    // overdrive so partially-on devices conduct weakly.
+    if (std::isnan(d.r_on_ohm)) {
+      throw std::domain_error("device has no drive (overdrive <= 0)");
+    }
+    const double od_full = model_.vdd_v() - vth;
+    const double scale = std::max((vgs - vth) / std::max(od_full, 1e-9), 1e-3);
+    return vds / (d.r_on_ohm / scale);
+  }
+  return model_.subthreshold_a(d.mos, vgs, vds);
+}
+
+double LeakageSolver::current_into(const Dev& d, NodeId node,
+                                   const double* v) const {
   const double vg = v[static_cast<size_t>(d.gate)];
   const double vd = v[static_cast<size_t>(d.drain)];
   const double vs = v[static_cast<size_t>(d.source)];
-  const double i = channel_current(model_, d.mos, vg, vd, vs);
+  const double i = channel_current(d, vg, vd, vs);
   // Current flows from the higher S/D terminal to the lower one.
   const bool node_is_drain = (node == d.drain);
   const double v_this = node_is_drain ? vd : vs;
@@ -82,31 +97,37 @@ double LeakageSolver::device_current_into(const Device& d, NodeId node,
   return 0.0;
 }
 
-double LeakageSolver::solve_node(NodeId node, std::vector<double>& v) const {
+double LeakageSolver::solve_node(NodeId node, double* v) const {
   // Net current into `node` is monotonically decreasing in its voltage
   // (raising the node increases outflow / decreases inflow), so
   // bisection on [0, Vdd] finds the balance point.
+  const std::size_t n = static_cast<size_t>(node);
+  const DeviceId* first = adj_.data() + adj_begin_[n];
+  const DeviceId* last = adj_.data() + adj_begin_[n + 1];
   double lo = 0.0, hi = model_.vdd_v();
   auto net_current = [&](double vn) {
-    v[static_cast<size_t>(node)] = vn;
+    v[n] = vn;
     double sum = 0.0;
-    for (DeviceId did : node_devices_[static_cast<size_t>(node)]) {
-      sum += device_current_into(nl_.device(did), node, v);
+    for (const DeviceId* it = first; it != last; ++it) {
+      sum += current_into(devs_[static_cast<size_t>(*it)], node, v);
     }
     return sum;
   };
   const double f_lo = net_current(lo);
   if (f_lo <= 0.0) {  // even at 0 V current flows out: node sits at GND
-    v[static_cast<size_t>(node)] = 0.0;
+    v[n] = 0.0;
     return 0.0;
   }
   const double f_hi = net_current(hi);
   if (f_hi >= 0.0) {  // even at Vdd current flows in: node sits at Vdd
-    v[static_cast<size_t>(node)] = hi;
+    v[n] = hi;
     return hi;
   }
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    // lo and hi are adjacent doubles: f(lo) > 0 and f(hi) <= 0 would
+    // keep both bounds where they are for every remaining iteration.
+    if (mid == lo || mid == hi) break;
     if (net_current(mid) > 0.0) {
       lo = mid;
     } else {
@@ -114,21 +135,21 @@ double LeakageSolver::solve_node(NodeId node, std::vector<double>& v) const {
     }
   }
   const double result = 0.5 * (lo + hi);
-  v[static_cast<size_t>(node)] = result;
+  v[n] = result;
   return result;
 }
 
 LeakageResult LeakageSolver::solve(const NodeVoltages& state) const {
   std::vector<double> v = state.raw();
   std::vector<NodeId> unknown;
-  for (std::size_t i = 0; i < nl_.node_count(); ++i) {
-    const Node& n = nl_.node(static_cast<NodeId>(i));
+  const std::vector<Node>& nodes = nl_.nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (v[i] >= 0.0) continue;
-    if (n.kind == NodeKind::kInternal) {
+    if (nodes[i].kind == NodeKind::kInternal) {
       unknown.push_back(static_cast<NodeId>(i));
       v[i] = 0.0;  // initial guess
     } else {
-      throw std::invalid_argument("signal node left unset: " + n.name);
+      throw std::invalid_argument("signal node left unset: " + nodes[i].name);
     }
   }
 
@@ -137,7 +158,7 @@ LeakageResult LeakageSolver::solve(const NodeVoltages& state) const {
     double max_delta = 0.0;
     for (NodeId n : unknown) {
       const double before = v[static_cast<size_t>(n)];
-      const double after = solve_node(n, v);
+      const double after = solve_node(n, v.data());
       max_delta = std::max(max_delta, std::fabs(after - before));
     }
     if (max_delta < 1e-7) break;
@@ -145,12 +166,12 @@ LeakageResult LeakageSolver::solve(const NodeVoltages& state) const {
 
   LeakageResult res;
   res.node_voltage_v = v;
-  res.device_sub_a.resize(nl_.device_count(), 0.0);
-  res.device_gate_a.resize(nl_.device_count(), 0.0);
+  res.device_sub_a.resize(devs_.size(), 0.0);
+  res.device_gate_a.resize(devs_.size(), 0.0);
   const double vdd = model_.vdd_v();
 
-  for (std::size_t i = 0; i < nl_.device_count(); ++i) {
-    const Device& d = nl_.device(static_cast<DeviceId>(i));
+  for (std::size_t i = 0; i < devs_.size(); ++i) {
+    const Dev& d = devs_[i];
     const double vg = v[static_cast<size_t>(d.gate)];
     const double vd_ = v[static_cast<size_t>(d.drain)];
     const double vs = v[static_cast<size_t>(d.source)];
@@ -195,11 +216,11 @@ LeakageResult LeakageSolver::solve(const NodeVoltages& state) const {
   // Subthreshold power: sum the current entering every grounded-level
   // sink once (avoids double counting series stacks).
   double sink_current = 0.0;
-  for (std::size_t i = 0; i < nl_.node_count(); ++i) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (v[i] > 1e-9) continue;  // only 0 V sinks
-    for (DeviceId did : node_devices_[i]) {
-      const double into = device_current_into(
-          nl_.device(did), static_cast<NodeId>(i), v);
+    for (std::size_t k = adj_begin_[i]; k < adj_begin_[i + 1]; ++k) {
+      const double into = current_into(devs_[static_cast<size_t>(adj_[k])],
+                                       static_cast<NodeId>(i), v.data());
       if (into > 0.0) sink_current += into;
     }
   }

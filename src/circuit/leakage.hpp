@@ -61,26 +61,43 @@ struct LeakageResult {
   double total_w() const { return subthreshold_w + gate_w; }
 };
 
+// Build one solver per netlist and reuse it across states: the
+// constructor flattens the netlist into CSR node->device adjacency and
+// per-device terminals, and hoists each device's ON resistance out of
+// the relaxation loop.  Both netlist and model must outlive the solver.
 class LeakageSolver {
  public:
   LeakageSolver(const Netlist& nl, const tech::DeviceModel& model);
 
   // Solves internal nodes and evaluates leakage.  Throws
-  // std::invalid_argument if a signal node was left unset.
+  // std::invalid_argument if a signal node was left unset, and
+  // std::domain_error if a device without drive is evaluated ON.
   LeakageResult solve(const NodeVoltages& state) const;
 
-  // Signed current into a node terminal through one device, at the
-  // given node voltages.  Exposed for tests.
-  double device_current_into(const Device& d, NodeId node,
-                             const std::vector<double>& v) const;
-
  private:
-  double solve_node(NodeId node, std::vector<double>& v) const;
+  // One device as the relaxation loop reads it.
+  struct Dev {
+    tech::Mosfet mos;
+    NodeId gate, drain, source;
+    // model.eff_resistance_ohm(mos), or NaN when the device has no
+    // drive (evaluating it ON then throws, as the model does).
+    double r_on_ohm;
+  };
+
+  double channel_current(const Dev& d, double vg, double va, double vb) const;
+  // Signed current into `node` (a drain/source terminal of d) through
+  // d, at node voltages v.
+  double current_into(const Dev& d, NodeId node, const double* v) const;
+  double solve_node(NodeId node, double* v) const;
 
   const Netlist& nl_;
   const tech::DeviceModel& model_;
-  // adjacency: devices touching each node via drain/source
-  std::vector<std::vector<DeviceId>> node_devices_;
+  std::vector<Dev> devs_;
+  // CSR adjacency: devices touching node n via drain/source are
+  // adj_[adj_begin_[n] .. adj_begin_[n + 1]), in device order (a
+  // device's drain entry before its source entry).
+  std::vector<std::size_t> adj_begin_;
+  std::vector<DeviceId> adj_;
 };
 
 }  // namespace lain::circuit

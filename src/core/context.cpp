@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <tuple>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "noc/parallel/sharded_sim.hpp"
@@ -10,27 +11,42 @@ namespace lain::core {
 
 namespace {
 
-// spec_tie must enumerate EVERY field of CrossbarSpec and
-// DeviceSizing: a missed field would silently alias distinct specs to
-// one cache entry.  The size tripwires below break the build here
-// when either struct grows — extend the tuple, then update the sizes
-// (x86-64 layout: 12 doubles; 2 ints + 3 doubles + 2 enums + sizing).
+// circuit_tie must enumerate EVERY field of CrossbarSpec and
+// DeviceSizing except static_probability and freq_hz, and spec_tie
+// adds those two: a missed field would silently alias distinct specs
+// (or distinct circuits) to one cache entry.  The tripwires below
+// break the build here when either struct grows — extend the tuple,
+// then update the sizes and field counts (x86-64 layout: 12 doubles;
+// 2 ints + 3 doubles + 2 enums + sizing).
 static_assert(sizeof(xbar::DeviceSizing) == 12 * sizeof(double),
-              "DeviceSizing changed: update spec_tie()");
+              "DeviceSizing changed: update circuit_tie()");
 static_assert(sizeof(xbar::CrossbarSpec) ==
                   sizeof(xbar::DeviceSizing) + 5 * sizeof(double),
-              "CrossbarSpec changed: update spec_tie()");
+              "CrossbarSpec changed: update circuit_tie()/spec_tie()");
 
-auto spec_tie(const xbar::CrossbarSpec& s) {
+auto circuit_tie(const xbar::CrossbarSpec& s) {
   const xbar::DeviceSizing& z = s.sizing;
   return std::make_tuple(
-      s.ports, s.flit_bits, s.freq_hz, s.static_probability,
-      static_cast<int>(s.node), static_cast<int>(s.tier), s.temp_k,
-      z.pass_width_m, z.drv1_wn_m, z.drv1_wp_m, z.drv2_wn_m, z.drv2_wp_m,
-      z.keeper_width_m, z.sleep_width_m, z.precharge_width_m,
+      s.ports, s.flit_bits, static_cast<int>(s.node), static_cast<int>(s.tier),
+      s.temp_k, z.pass_width_m, z.drv1_wn_m, z.drv1_wp_m, z.drv2_wn_m,
+      z.drv2_wp_m, z.keeper_width_m, z.sleep_width_m, z.precharge_width_m,
       z.precharge_seg_width_m, z.input_drv_wn_m, z.input_drv_wp_m,
       z.segment_switch_width_m);
 }
+
+auto spec_tie(const xbar::CrossbarSpec& s) {
+  return std::tuple_cat(circuit_tie(s),
+                        std::make_tuple(s.freq_hz, s.static_probability));
+}
+
+// 5 circuit fields of CrossbarSpec + 12 of DeviceSizing, then the 2
+// workload fields.
+static_assert(std::tuple_size_v<decltype(circuit_tie(
+                  std::declval<const xbar::CrossbarSpec&>()))> == 5 + 12,
+              "circuit_tie() must list every circuit field");
+static_assert(std::tuple_size_v<decltype(spec_tie(
+                  std::declval<const xbar::CrossbarSpec&>()))> == 5 + 12 + 2,
+              "spec_tie() must list every spec field");
 
 // Kernel the spec asks for: serial for sim_threads == 1, sharded
 // otherwise (auto-sharded when <= 0, partitioned by `partition`),
@@ -119,42 +135,59 @@ void install_window_control(noc::SimKernel& kernel,
 
 }  // namespace
 
-bool CharacterizationCache::KeyLess::operator()(
-    const std::pair<xbar::CrossbarSpec, xbar::Scheme>& a,
-    const std::pair<xbar::CrossbarSpec, xbar::Scheme>& b) const {
+bool CharacterizationCache::KeyLess::operator()(const Key& a,
+                                                const Key& b) const {
   if (a.second != b.second) return a.second < b.second;
   return spec_tie(a.first) < spec_tie(b.first);
+}
+
+bool CharacterizationCache::CircuitLess::operator()(const Key& a,
+                                                    const Key& b) const {
+  if (a.second != b.second) return a.second < b.second;
+  return circuit_tie(a.first) < circuit_tie(b.first);
+}
+
+template <typename T, typename Less>
+CharacterizationCache::Entry<T>& CharacterizationCache::entry(
+    Map<T, Less>& map, const Key& key) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = map.find(key);
+    if (it != map.end()) return *it->second;
+  }
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto it = map.find(key);
+  if (it == map.end()) {
+    it = map.emplace(key, std::make_unique<Entry<T>>()).first;
+  }
+  return *it->second;
+}
+
+const xbar::LeakageStates& CharacterizationCache::circuit(
+    const xbar::CrossbarSpec& spec, xbar::Scheme scheme) {
+  Entry<xbar::LeakageStates>& e = entry(circuits_, Key(spec, scheme));
+  std::call_once(e.once, [&] {
+    e.value = xbar::solve_leakage_states(spec, scheme);
+    circuit_solves_.fetch_add(1, std::memory_order_relaxed);
+  });
+  return e.value;
 }
 
 const xbar::Characterization& CharacterizationCache::get(
     const xbar::CrossbarSpec& spec, xbar::Scheme scheme) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  const auto key = std::make_pair(spec, scheme);
-
-  Entry* entry = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) entry = it->second.get();
-  }
-  if (!entry) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      it = entries_.emplace(key, std::make_unique<Entry>()).first;
-    }
-    entry = it->second.get();
-  }
+  Entry<xbar::Characterization>& e = entry(entries_, Key(spec, scheme));
 
   // Outside the map locks: the first caller per key characterizes,
   // concurrent callers for the same key block until it is done.  A
   // throwing characterize leaves the flag unset, so the next caller
-  // retries instead of seeing a half-built value.
-  std::call_once(entry->once, [&] {
-    entry->value = xbar::characterize(spec, scheme);
+  // retries instead of seeing a half-built value.  The circuit memo
+  // nests its own once-flag; no map lock is held across either.
+  std::call_once(e.once, [&] {
+    e.value = xbar::characterize(spec, scheme, circuit(spec, scheme));
     characterizations_.fetch_add(1, std::memory_order_relaxed);
   });
-  return entry->value;
+  return e.value;
 }
 
 std::size_t CharacterizationCache::size() const {

@@ -5,7 +5,8 @@
 //
 //   * a thread-safe characterization cache keyed on (CrossbarSpec,
 //     Scheme), so a 1000-job sweep characterizes each scheme once
-//     instead of 1000 times, and
+//     instead of 1000 times, and a sweep over static probability or
+//     frequency runs the leakage solver once per circuit, and
 //   * a ThreadBudget that SweepEngine and ShardedSimulation draw
 //     worker leases from, so nested parallelism (`--threads 8
 //     --sim-threads 4`) cooperates instead of oversubscribing.
@@ -30,7 +31,7 @@
 
 namespace lain::core {
 
-// Process-wide (spec, scheme) -> Characterization cache.  Lookups
+// Per-context (spec, scheme) -> Characterization cache.  Lookups
 // take a shared lock; a miss inserts an entry under the exclusive
 // lock and characterizes outside it under a per-entry once-flag, so
 //
@@ -38,6 +39,12 @@ namespace lain::core {
 //     (late arrivals block until the value is ready),
 //   * concurrent misses on DISTINCT keys characterize in parallel,
 //   * returned references are stable for the cache's lifetime.
+//
+// A characterization miss does not re-run the leakage solver when
+// only static_probability or freq_hz differ from an earlier request:
+// a second once-flag map, keyed on the circuit (every other spec field,
+// plus the scheme), memoizes xbar::solve_leakage_states, and the miss
+// only pays the cheap xbar::characterize(spec, scheme, states).
 class CharacterizationCache {
  public:
   const xbar::Characterization& get(const xbar::CrossbarSpec& spec,
@@ -47,31 +54,51 @@ class CharacterizationCache {
   std::uint64_t lookups() const {
     return lookups_.load(std::memory_order_relaxed);
   }
-  // Number of actual xbar::characterize calls: exactly one per
-  // distinct (spec, scheme) pair ever requested.
+  // Number of (spec, scheme) characterizations computed: exactly one
+  // per distinct pair ever requested.
   std::uint64_t characterizations() const {
     return characterizations_.load(std::memory_order_relaxed);
   }
   std::uint64_t hits() const { return lookups() - characterizations(); }
+  // Number of xbar::solve_leakage_states calls: exactly one per
+  // distinct circuit ever requested.
+  std::uint64_t circuit_solves() const {
+    return circuit_solves_.load(std::memory_order_relaxed);
+  }
+  // Distinct (spec, scheme) pairs held.
   std::size_t size() const;
 
  private:
+  using Key = std::pair<xbar::CrossbarSpec, xbar::Scheme>;
+  template <typename T>
   struct Entry {
     std::once_flag once;
-    xbar::Characterization value;
+    T value;
   };
+  // Orders on every spec field.
   struct KeyLess {
-    bool operator()(const std::pair<xbar::CrossbarSpec, xbar::Scheme>& a,
-                    const std::pair<xbar::CrossbarSpec, xbar::Scheme>& b)
-        const;
+    bool operator()(const Key& a, const Key& b) const;
   };
+  // Orders on every spec field except static_probability and freq_hz.
+  struct CircuitLess {
+    bool operator()(const Key& a, const Key& b) const;
+  };
+  template <typename T, typename Less>
+  using Map = std::map<Key, std::unique_ptr<Entry<T>>, Less>;
 
-  mutable std::shared_mutex mu_;
-  std::map<std::pair<xbar::CrossbarSpec, xbar::Scheme>,
-           std::unique_ptr<Entry>, KeyLess>
-      entries_;
+  // The entry for `key`, inserted empty on first request.
+  template <typename T, typename Less>
+  Entry<T>& entry(Map<T, Less>& map, const Key& key);
+
+  const xbar::LeakageStates& circuit(const xbar::CrossbarSpec& spec,
+                                     xbar::Scheme scheme);
+
+  mutable std::shared_mutex mu_;  // guards both maps
+  Map<xbar::Characterization, KeyLess> entries_;
+  Map<xbar::LeakageStates, CircuitLess> circuits_;
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> characterizations_{0};
+  std::atomic<std::uint64_t> circuit_solves_{0};
 };
 
 struct ContextOptions {

@@ -24,6 +24,11 @@ const std::vector<std::string> kUniversalValueFlags = {
 const std::vector<std::string> kUniversalSwitchFlags = {
     "csv",  "json",     "cycle-skip", "allow-partition",
     "abort-on-disconnect", "progress", "help"};
+// The streaming-telemetry subset of the universal flags, which a
+// scenario with `telemetry = false` does not accept.
+const std::vector<std::string> kTelemetryFlags = {
+    "metrics-window",      "metrics-out",         "trace-flits",
+    "abort-on-saturation", "abort-on-disconnect", "progress"};
 
 struct FlagHelp {
   const char* flag;
@@ -130,6 +135,17 @@ const char* help_for(const std::string& flag) {
 
 bool contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+// The universal `flags` that `scenario` accepts.
+std::vector<std::string> universal_flags(
+    const Scenario& scenario, const std::vector<std::string>& flags) {
+  if (scenario.telemetry) return flags;
+  std::vector<std::string> out;
+  for (const std::string& f : flags) {
+    if (!contains(kTelemetryFlags, f)) out.push_back(f);
+  }
+  return out;
 }
 
 std::string format(const char* fmt, ...) {
@@ -398,6 +414,7 @@ ScenarioRegistry make_builtin_registry() {
                    {"patterns", "uniform"}};
     sc.sim_threads_as_list = true;
     sc.partition_as_list = true;
+    sc.telemetry = false;  // timed runs carry no metrics stream
     sc.banner = [](const ScenarioSpec&, int) {
       return std::string(
           "Sharded-kernel scaling: one simulation timed per "
@@ -569,9 +586,12 @@ std::string ScenarioRegistry::usage_for(const Scenario& scenario) const {
   auto flag_line = [&](const std::string& flag) {
     out += format("  --%-17s %s\n", flag.c_str(), help_for(flag));
   };
-  for (const std::string& f : kUniversalValueFlags) flag_line(f);
+  for (const std::string& f : universal_flags(scenario, kUniversalValueFlags)) {
+    flag_line(f);
+  }
   for (const std::string& f : scenario.value_flags) flag_line(f);
-  for (const std::string& f : kUniversalSwitchFlags) {
+  for (const std::string& f :
+       universal_flags(scenario, kUniversalSwitchFlags)) {
     if (f == "help") continue;
     // text_only scenarios reject the structured emitters.
     if (scenario.text_only && (f == "csv" || f == "json")) continue;
@@ -583,7 +603,8 @@ std::string ScenarioRegistry::usage_for(const Scenario& scenario) const {
 
 std::vector<std::string> ScenarioRegistry::value_flags_for(
     const Scenario& scenario) const {
-  std::vector<std::string> flags = kUniversalValueFlags;
+  std::vector<std::string> flags =
+      universal_flags(scenario, kUniversalValueFlags);
   flags.insert(flags.end(), scenario.value_flags.begin(),
                scenario.value_flags.end());
   return flags;
@@ -591,7 +612,8 @@ std::vector<std::string> ScenarioRegistry::value_flags_for(
 
 std::vector<std::string> ScenarioRegistry::switch_flags_for(
     const Scenario& scenario) const {
-  std::vector<std::string> flags = kUniversalSwitchFlags;
+  std::vector<std::string> flags =
+      universal_flags(scenario, kUniversalSwitchFlags);
   flags.insert(flags.end(), scenario.switch_flags.begin(),
                scenario.switch_flags.end());
   return flags;
@@ -610,8 +632,9 @@ ScenarioSpec build_scenario_spec(const Scenario& sc, const ArgParser& args) {
   };
 
   s.threads = single_int(sc, args, "threads");
-  // Universal streaming-telemetry flags (every scenario accepts them;
-  // scenarios without a cycle-accurate simulation just ignore them).
+  // Universal streaming-telemetry flags (every scenario but
+  // mesh_scaling accepts them; scenarios without a cycle-accurate
+  // simulation just ignore them).
   {
     const int window = single_int(sc, args, "metrics-window");
     if (window < 0) {

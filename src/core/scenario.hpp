@@ -123,6 +123,11 @@ struct Scenario {
   bool sim_threads_as_list = false;  // mesh_scaling: --sim-threads is an axis
   bool partition_as_list = false;    // mesh_scaling: --partition is an axis
   bool text_only = false;            // table1: no --csv/--json
+  // false: the scenario does not wire the streaming-telemetry flags
+  // (--metrics-window, --metrics-out, --trace-flits, --progress and
+  // the window guards) into its runs, so it rejects them instead of
+  // silently ignoring them (mesh_scaling).
+  bool telemetry = true;
 
   // Optional spec validation (throws std::invalid_argument).
   std::function<void(const ScenarioSpec&)> validate;

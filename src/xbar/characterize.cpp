@@ -24,7 +24,7 @@ using tech::VtClass;
 
 // Global delay-model slope factor: folds in input-ramp degradation and
 // the difference between Elmore and measured 50 % points.  Fitted once
-// against the SC column of Table 1 (see EXPERIMENTS.md).
+// against the SC column of Table 1 (see README, "Calibration").
 constexpr double kDelayFit = 1.56;
 
 // Short-circuit current and local clocking overhead on top of the
@@ -330,14 +330,9 @@ DelayPair compute_delay(const Ctx& c, Scheme scheme) {
 // Leakage scenarios
 // ---------------------------------------------------------------------
 
-double solve_w(const circuit::Netlist& nl, const DeviceModel& model,
-               const NodeVoltages& nv) {
-  const circuit::LeakageSolver solver(nl, model);
-  return solver.solve(nv).total_w();
-}
-
 // Flat slice: one mux cell drives the full output wire.
-double flat_slice_leakage_w(const Ctx& c, const OutputSlice& s, bool granted,
+double flat_slice_leakage_w(const Ctx& c, const OutputSlice& s,
+                            const circuit::LeakageSolver& solver, bool granted,
                             int d_granted, int d_others, bool standby) {
   NodeVoltages nv(s.nl, c.model.vdd_v());
   const CellHandles& cell = s.cells.front();
@@ -356,16 +351,17 @@ double flat_slice_leakage_w(const Ctx& c, const OutputSlice& s, bool granted,
   if (s.precharge_signal != circuit::kNoNode) {
     nv.set_logic(s.precharge_signal, true);  // deactivated (pFET off)
   }
-  return solve_w(s.nl, c.model, nv);
+  return solver.solve(nv).total_w();
 }
 
 // Segmented slice: the cell of one wire half drives; the other half's
 // cell is parked in per-segment standby (Sec 2.3's "higher probability
 // that some segments can be put in standby").  active_half: 0 = far
 // (crosses the boundary switch), 1 = near (boundary open).
-double seg_slice_leakage_w(const Ctx& c, const OutputSlice& s, int active_half,
-                           int d_granted, int d_others, bool standby,
-                           bool idle_ungated) {
+double seg_slice_leakage_w(const Ctx& c, const OutputSlice& s,
+                           const circuit::LeakageSolver& solver,
+                           int active_half, int d_granted, int d_others,
+                           bool standby, bool idle_ungated) {
   NodeVoltages nv(s.nl, c.model.vdd_v());
   const int H = static_cast<int>(s.cells.size());
   for (int h = 0; h < H; ++h) {
@@ -403,10 +399,11 @@ double seg_slice_leakage_w(const Ctx& c, const OutputSlice& s, int active_half,
   }
   // Segment nodes stay internal: the solver finds driven/floating
   // levels through the ON transistors.
-  return solve_w(s.nl, c.model, nv);
+  return solver.solve(nv).total_w();
 }
 
-double input_cell_leakage_w(const Ctx& c, const InputCell& cell, int d,
+double input_cell_leakage_w(const Ctx& c, const InputCell& cell,
+                            const circuit::LeakageSolver& solver, int d,
                             bool standby, bool connected) {
   NodeVoltages nv(cell.nl, c.model.vdd_v());
   const bool wire_high = standby ? false : d;
@@ -420,7 +417,15 @@ double input_cell_leakage_w(const Ctx& c, const InputCell& cell, int d,
   if (cell.precharge_signal != circuit::kNoNode) {
     nv.set_logic(cell.precharge_signal, true);
   }
-  return solve_w(cell.nl, c.model, nv);
+  return solver.solve(nv).total_w();
+}
+
+// Fills a [granted datum][background datum] table.
+template <typename F>
+void fill_states(double (&out)[2][2], F&& f) {
+  for (int dg = 0; dg < 2; ++dg) {
+    for (int dn = 0; dn < 2; ++dn) out[dg][dn] = f(dg, dn);
+  }
 }
 
 struct LeakageSet {
@@ -429,57 +434,36 @@ struct LeakageSet {
   double standby_w = 0.0;
 };
 
-LeakageSet compute_leakage(const Ctx& c, Scheme scheme) {
-  const OutputSlice slice = build_output_slice(c.spec, scheme);
-  const InputCell in_cell = build_input_cell(c.spec, scheme);
-  const double p = c.spec.static_probability;
+// Weights the solved states by the spec's static probability.
+LeakageSet compute_leakage(const CrossbarSpec& spec, const LeakageStates& st) {
+  const double p = spec.static_probability;
   const double q = 1.0 - p;
-  const int cells = c.spec.flit_bits * c.spec.ports;  // per side
+  const int cells = spec.flit_bits * spec.ports;  // per side
 
-  auto mix4 = [&](auto&& f) {
-    // E over granted data dg and background data do, independent with
-    // static probability p.
-    return p * (p * f(1, 1) + q * f(1, 0)) +
-           q * (p * f(0, 1) + q * f(0, 0));
+  // E over granted data dg and background data do, independent with
+  // static probability p.
+  auto mix4 = [&](const double (&f)[2][2]) {
+    return p * (p * f[1][1] + q * f[1][0]) + q * (p * f[0][1] + q * f[0][0]);
   };
 
-  LeakageSet out;
-  double slice_active, slice_idle, slice_standby;
-  if (!is_segmented(scheme)) {
-    slice_active = mix4([&](int dg, int dn) {
-      return flat_slice_leakage_w(c, slice, true, dg, dn, false);
-    });
-    slice_idle = mix4([&](int dg, int dn) {
-      return flat_slice_leakage_w(c, slice, false, dg, dn, false);
-    });
-    slice_standby = flat_slice_leakage_w(c, slice, false, 0, 0, true);
-  } else {
+  double slice_active = mix4(st.slice_active);
+  if (is_segmented(st.scheme)) {
     // Average over which wire half holds the granted input (weighted
     // by how many input rows land in each half).
-    const int n_inputs = c.spec.ports - 1;
+    const int n_inputs = spec.ports - 1;
     const double w_far = static_cast<double>((n_inputs + 1) / 2) / n_inputs;
-    const double act_far = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 0, dg, dn, false, false);
-    });
-    const double act_near = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 1, dg, dn, false, false);
-    });
-    slice_active = w_far * act_far + (1.0 - w_far) * act_near;
-    slice_idle = mix4([&](int dg, int dn) {
-      return seg_slice_leakage_w(c, slice, 0, dg, dn, false, true);
-    });
-    slice_standby = seg_slice_leakage_w(c, slice, 0, 0, 0, true, false);
+    slice_active = w_far * slice_active +
+                   (1.0 - w_far) * mix4(st.slice_active_near);
   }
+  const double slice_idle = mix4(st.slice_idle);
 
-  const double in_active =
-      p * input_cell_leakage_w(c, in_cell, 1, false, true) +
-      q * input_cell_leakage_w(c, in_cell, 0, false, true);
+  const double in_active = p * st.input_active[1] + q * st.input_active[0];
   const double in_idle = in_active;
-  const double in_standby = input_cell_leakage_w(c, in_cell, 0, true, false);
 
+  LeakageSet out;
   out.active_w = cells * (slice_active + in_active);
   out.idle_w = cells * (slice_idle + in_idle);
-  out.standby_w = cells * (slice_standby + in_standby);
+  out.standby_w = cells * (st.slice_standby + st.input_standby);
   return out;
 }
 
@@ -630,8 +614,57 @@ double delay_penalty(const Characterization& base, const Characterization& c) {
   return std::max(ratio - 1.0, 0.0);
 }
 
-Characterization characterize(const CrossbarSpec& spec, Scheme scheme) {
+LeakageStates solve_leakage_states(const CrossbarSpec& spec, Scheme scheme) {
   spec.validate();
+  const Ctx c(spec);
+  const OutputSlice slice = build_output_slice(spec, scheme);
+  const InputCell in_cell = build_input_cell(spec, scheme);
+  const circuit::LeakageSolver slice_solver(slice.nl, c.model);
+  const circuit::LeakageSolver in_solver(in_cell.nl, c.model);
+
+  LeakageStates st;
+  st.scheme = scheme;
+  if (!is_segmented(scheme)) {
+    fill_states(st.slice_active, [&](int dg, int dn) {
+      return flat_slice_leakage_w(c, slice, slice_solver, true, dg, dn, false);
+    });
+    fill_states(st.slice_idle, [&](int dg, int dn) {
+      return flat_slice_leakage_w(c, slice, slice_solver, false, dg, dn,
+                                  false);
+    });
+    st.slice_standby =
+        flat_slice_leakage_w(c, slice, slice_solver, false, 0, 0, true);
+  } else {
+    fill_states(st.slice_active, [&](int dg, int dn) {
+      return seg_slice_leakage_w(c, slice, slice_solver, 0, dg, dn, false,
+                                 false);
+    });
+    fill_states(st.slice_active_near, [&](int dg, int dn) {
+      return seg_slice_leakage_w(c, slice, slice_solver, 1, dg, dn, false,
+                                 false);
+    });
+    fill_states(st.slice_idle, [&](int dg, int dn) {
+      return seg_slice_leakage_w(c, slice, slice_solver, 0, dg, dn, false,
+                                 true);
+    });
+    st.slice_standby =
+        seg_slice_leakage_w(c, slice, slice_solver, 0, 0, 0, true, false);
+  }
+  for (int d = 0; d < 2; ++d) {
+    st.input_active[d] =
+        input_cell_leakage_w(c, in_cell, in_solver, d, false, true);
+  }
+  st.input_standby =
+      input_cell_leakage_w(c, in_cell, in_solver, 0, true, false);
+  return st;
+}
+
+Characterization characterize(const CrossbarSpec& spec, Scheme scheme,
+                              const LeakageStates& states) {
+  spec.validate();
+  if (states.scheme != scheme) {
+    throw std::invalid_argument("leakage states belong to another scheme");
+  }
   const Ctx ctx(spec);
 
   Characterization r;
@@ -641,7 +674,7 @@ Characterization characterize(const CrossbarSpec& spec, Scheme scheme) {
   r.delay_hl_s = d.hl_s;
   r.delay_lh_s = d.lh_s;
 
-  const LeakageSet leak = compute_leakage(ctx, scheme);
+  const LeakageSet leak = compute_leakage(spec, states);
   r.active_leakage_w = leak.active_w;
   r.idle_leakage_w = leak.idle_w;
   r.standby_leakage_w = leak.standby_w;

@@ -58,8 +58,38 @@ struct Characterization {
   }
 };
 
+// Solved leakage (W) of every state one output slice and one input
+// cell of `scheme` rest in.  This is the expensive, solver-bound part
+// of a characterization, and it depends on the circuit alone: every
+// CrossbarSpec field except static_probability and freq_hz.  Slice
+// states are indexed [granted datum][background datum].
+struct LeakageStates {
+  Scheme scheme = Scheme::kSC;
+  // Flat schemes: the granted cell drives.  Segmented schemes: the
+  // far half's cell drives (across the boundary switch).
+  double slice_active[2][2] = {};
+  // Segmented schemes only: the near half's cell drives.
+  double slice_active_near[2][2] = {};
+  double slice_idle[2][2] = {};
+  double slice_standby = 0.0;
+  double input_active[2] = {};  // input cell connected, by datum
+  double input_standby = 0.0;
+};
+
+// Runs the leakage solver over every state of `scheme`'s circuit.
+LeakageStates solve_leakage_states(const CrossbarSpec& spec, Scheme scheme);
+
+// Characterizes `scheme` at the given design point from its solved
+// leakage states (which must come from solve_leakage_states for a spec
+// with the same circuit fields and the same scheme; a scheme mismatch
+// throws std::invalid_argument).  Cheap: no solver runs.
+Characterization characterize(const CrossbarSpec& spec, Scheme scheme,
+                              const LeakageStates& states);
+
 // Characterizes `scheme` at the given design point.
-Characterization characterize(const CrossbarSpec& spec, Scheme scheme);
+inline Characterization characterize(const CrossbarSpec& spec, Scheme scheme) {
+  return characterize(spec, scheme, solve_leakage_states(spec, scheme));
+}
 
 // Fractional saving of `value` relative to `base` (1 - value/base).
 double relative_saving(double base, double value);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 namespace lain::xbar {
 namespace {
 
@@ -124,6 +127,85 @@ TEST_F(CharacterizeTest, InvalidSpecThrows) {
   bad = table1_spec();
   bad.freq_hz = 0.0;
   EXPECT_THROW(characterize(bad, Scheme::kSC), std::invalid_argument);
+}
+
+TEST_F(CharacterizeTest, MismatchedLeakageStatesThrow) {
+  const LeakageStates dpc = solve_leakage_states(table1_spec(), Scheme::kDPC);
+  EXPECT_THROW(characterize(table1_spec(), Scheme::kSC, dpc),
+               std::invalid_argument);
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+// The exact bit patterns of every Characterization field at the
+// Table 1 design point.  Any change in the arithmetic of the leakage
+// solver, the device model or the characterization (an operation
+// reordered, a constant refolded, a fast-math flag) fails here, even
+// where the rounded Table 1 figures would not move.  Update these
+// only for a deliberate model change, and say so in CHANGES.md.
+TEST(CharacterizeGolden, Table1SpecBitPatternsArePinned) {
+  struct Golden {
+    Scheme scheme;
+    // delay_hl, delay_lh, active/idle/standby leakage, dynamic,
+    // control, total power, sleep entry and wakeup energy.
+    std::uint64_t field[10];
+    int min_idle_cycles;
+  };
+  const Golden golden[] = {
+      {Scheme::kSC,
+       {0x3dd0d61e847ddd88ull, 0x3dcd7de963e556ccull,
+        0x3fb7368b287affa4ull, 0x3fb735c0388e5959ull,
+        0x3fb046df810c1f6eull, 0x3fb506769fd69cb8ull,
+        0x3f5b9a90399e8740ull, 0x3fc655b6049c0b3cull,
+        0x3da5a258bfdf9495ull, 0x3da920d4bd718cbeull},
+       3},
+      {Scheme::kDFC,
+       {0x3dcf037e122653e0ull, 0x3dcfdf066404db89ull,
+        0x3fb4ef8e966d4e9eull, 0x3fb4eec3a680a852ull,
+        0x3fa8b7f2312ef511ull, 0x3fb506769fd69cb8ull,
+        0x3f5b9a90399e8740ull, 0x3fc53237bb9532baull,
+        0x3da5a258bfdf9495ull, 0x3da920d4bd718cbeull},
+       2},
+      {Scheme::kDPC,
+       {0x3dd0fd2fc8b6920dull, 0x3dce4b3690e86565ull,
+        0x3fa449dc98524389ull, 0x3fa44846b878f6f3ull,
+        0x3f81f04dae436ce4ull, 0x3fbf82b01ddaad2bull,
+        0x3f5b9a90399e8740ull, 0x3fc50b0455752486ull,
+        0x3d627136abf52687ull, 0x0000000000000000ull},
+       1},
+      {Scheme::kSDFC,
+       {0x3dd55bbbc89defabull, 0x3dd6e84a7ab4ba0dull,
+        0x3fac3464e9d8b85eull, 0x3fb18ca735c2a1e6ull,
+        0x3f989e7cbfe1aa56ull, 0x3fb5ac6c013cadd4ull,
+        0x3f7cfbe43c800e04ull, 0x3fc2cb2e5cf88572ull,
+        0x3da6c96c2a9ee6feull, 0x3da7b5274cea68a7ull},
+       2},
+      {Scheme::kSDPC,
+       {0x3dd3bac89af964beull, 0x3dd25031914b8b9eull,
+        0x3f9aace799b5efdcull, 0x3f9dbf517c40dcccull,
+        0x3f7c22ced2940180ull, 0x3fc625742ad6db12ull,
+        0x3f7cfbe43c800e04ull, 0x3fca62f03ff1997eull,
+        0x3d727136abf52687ull, 0x0000000000000000ull},
+       1},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(scheme_name(g.scheme));
+    const Characterization c = characterize(table1_spec(), g.scheme);
+    const double fields[] = {c.delay_hl_s,        c.delay_lh_s,
+                             c.active_leakage_w,  c.idle_leakage_w,
+                             c.standby_leakage_w, c.dynamic_power_w,
+                             c.control_power_w,   c.total_power_w,
+                             c.sleep_entry_energy_j, c.wakeup_energy_j};
+    EXPECT_EQ(c.scheme, g.scheme);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(bits_of(fields[i]), g.field[i]) << "field " << i;
+    }
+    EXPECT_EQ(c.min_idle_cycles, g.min_idle_cycles);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // test_context.cpp — LainContext and the shared characterization
 // cache: same-object hits under concurrency, bit-identity with the
-// uncached path, the exposed hit counters, and the headline property
+// uncached path, the exposed hit counters, the headline property
 // that a 100-job sweep characterizes each distinct (spec, scheme)
-// pair exactly once.
+// pair exactly once, and the circuit memo underneath it (one leakage
+// solve per circuit, whatever the static probability or frequency).
 
 #include "core/context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
+
+#include "core/bench_suite.hpp"
 
 #include "noc/rng.hpp"
 
@@ -88,6 +93,148 @@ TEST(CharacterizationCache, ConcurrentHitsReturnTheSameObject) {
   EXPECT_EQ(cache.lookups(),
             static_cast<std::uint64_t>(kThreads) * kGetsPerThread);
   EXPECT_EQ(cache.hits(), cache.lookups() - 1);
+}
+
+TEST(CharacterizationCache, ConcurrentPValuesSolveTheCircuitOnce) {
+  // Eight threads miss on eight distinct (spec, scheme) pairs that
+  // share one circuit: eight characterizations, one leakage solve.  A
+  // segmented scheme keeps the solve long enough for the threads to
+  // pile up on the circuit's once-flag.
+  CharacterizationCache cache;
+  constexpr int kThreads = 8;
+  std::vector<xbar::CrossbarSpec> specs(kThreads, xbar::table1_spec());
+  for (int t = 0; t < kThreads; ++t) {
+    specs[static_cast<std::size_t>(t)].static_probability = 0.1 * (t + 1);
+  }
+  std::vector<const xbar::Characterization*> seen(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const auto i = static_cast<std::size_t>(t);
+      seen[i] = &cache.get(specs[i], xbar::Scheme::kSDFC);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(cache.circuit_solves(), 1u);
+  EXPECT_EQ(cache.characterizations(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kThreads));
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    expect_bit_identical(xbar::characterize(specs[i], xbar::Scheme::kSDFC),
+                         *seen[i]);
+  }
+}
+
+TEST(CircuitMemo, BitIdenticalToUncachedAcrossTheCircuitAndWorkloadAxes) {
+  LainContext ctx;
+  const tech::Node nodes[] = {tech::Node::k90nm, tech::Node::k65nm,
+                              tech::Node::k45nm};
+  std::uint64_t pairs = 0;
+  for (xbar::Scheme s : xbar::all_schemes()) {
+    for (tech::Node node : nodes) {
+      for (double temp_k : {300.0, 383.0}) {
+        for (double p : {0.05, 0.5, 0.95}) {
+          for (double f : {1e9, 3e9}) {
+            xbar::CrossbarSpec spec = xbar::table1_spec();
+            spec.node = node;
+            spec.temp_k = temp_k;
+            spec.static_probability = p;
+            spec.freq_hz = f;
+            SCOPED_TRACE(testing::Message()
+                         << xbar::scheme_name(s) << " node "
+                         << static_cast<int>(node) << " T " << temp_k
+                         << " p " << p << " f " << f);
+            expect_bit_identical(xbar::characterize(spec, s),
+                                 ctx.characterization(spec, s));
+            ++pairs;
+          }
+        }
+      }
+    }
+  }
+  const CharacterizationCache& cache = ctx.characterizations();
+  EXPECT_EQ(cache.characterizations(), pairs);
+  EXPECT_EQ(cache.circuit_solves(), pairs / 6);  // 3 p x 2 f per circuit
+}
+
+TEST(CircuitMemo, StaticProbabilityStudySolvesEachSchemeOnce) {
+  LainContext ctx;
+  const SweepEngine engine = ctx.make_engine(2);
+  static_probability(ctx, StaticProbabilityOptions{}, engine);
+  static_probability_worst_case(ctx, engine);
+
+  // The two tables' p axes (built as bench_suite builds them), joined.
+  std::set<double> ps;
+  for (double p = 0.1; p <= 0.91; p += 0.1) ps.insert(p);
+  for (double p = 0.05; p <= 0.96; p += 0.05) ps.insert(p);
+  const std::uint64_t schemes = xbar::all_schemes().size();
+
+  const CharacterizationCache& cache = ctx.characterizations();
+  EXPECT_EQ(cache.circuit_solves(), schemes);
+  EXPECT_EQ(cache.characterizations(), ps.size() * schemes);
+  EXPECT_EQ(cache.size(), ps.size() * schemes);
+}
+
+TEST(CircuitMemo, KeyCoversEveryCircuitFieldAndNoWorkloadField) {
+  CharacterizationCache cache;
+  const xbar::CrossbarSpec base = xbar::table1_spec();
+  const xbar::Scheme scheme = xbar::Scheme::kSC;
+  cache.get(base, scheme);
+  ASSERT_EQ(cache.circuit_solves(), 1u);
+
+  // Workload fields reuse the circuit.
+  xbar::CrossbarSpec workload = base;
+  workload.static_probability = 0.25;
+  cache.get(workload, scheme);
+  workload.freq_hz = 1e9;
+  cache.get(workload, scheme);
+  EXPECT_EQ(cache.characterizations(), 3u);
+  EXPECT_EQ(cache.circuit_solves(), 1u);
+
+  // Every circuit field, perturbed alone, is a new circuit.
+  std::vector<xbar::CrossbarSpec> perturbed;
+  auto with = [&](auto&& edit) {
+    xbar::CrossbarSpec s = base;
+    edit(s);
+    perturbed.push_back(s);
+  };
+  with([](xbar::CrossbarSpec& s) { s.temp_k = 300.0; });
+  with([](xbar::CrossbarSpec& s) { s.node = tech::Node::k65nm; });
+  with([](xbar::CrossbarSpec& s) { s.ports = 4; });
+  with([](xbar::CrossbarSpec& s) { s.flit_bits = 64; });
+  with([](xbar::CrossbarSpec& s) { s.tier = tech::WireTier::kGlobal; });
+  double xbar::DeviceSizing::*const sizing_fields[] = {
+      &xbar::DeviceSizing::pass_width_m,
+      &xbar::DeviceSizing::drv1_wn_m,
+      &xbar::DeviceSizing::drv1_wp_m,
+      &xbar::DeviceSizing::drv2_wn_m,
+      &xbar::DeviceSizing::drv2_wp_m,
+      &xbar::DeviceSizing::keeper_width_m,
+      &xbar::DeviceSizing::sleep_width_m,
+      &xbar::DeviceSizing::precharge_width_m,
+      &xbar::DeviceSizing::precharge_seg_width_m,
+      &xbar::DeviceSizing::input_drv_wn_m,
+      &xbar::DeviceSizing::input_drv_wp_m,
+      &xbar::DeviceSizing::segment_switch_width_m};
+  static_assert(sizeof(sizing_fields) / sizeof(sizing_fields[0]) *
+                        sizeof(double) ==
+                    sizeof(xbar::DeviceSizing),
+                "list every DeviceSizing field");
+  for (double xbar::DeviceSizing::*field : sizing_fields) {
+    with([field](xbar::CrossbarSpec& s) { s.sizing.*field *= 1.1; });
+  }
+
+  std::uint64_t expected = 1;
+  for (const xbar::CrossbarSpec& s : perturbed) {
+    cache.get(s, scheme);
+    EXPECT_EQ(cache.circuit_solves(), ++expected);
+  }
+  EXPECT_EQ(expected, 1u + 5u + 12u);
 }
 
 // A small, fast powered run for sweep-shaped tests.

@@ -107,6 +107,31 @@ TEST_F(LeakageTest, UnsetSignalNodeThrows) {
   EXPECT_THROW(LeakageSolver(nl, model).solve(nv), std::invalid_argument);
 }
 
+TEST_F(LeakageTest, DeviceWithoutDriveThrowsOnlyWhenOn) {
+  // A +1 V threshold shift leaves the device no drive at Vdd
+  // (ion_a == 0).  Building the solver and evaluating the device OFF
+  // must still work; only an ON evaluation (gate overdriven above the
+  // rail) needs its resistance and throws, as the device model does.
+  const DeviceModel weak(node, 383.0, /*vth_shift_v=*/1.0,
+                         /*drive_scale=*/1.0, /*vdd_scale=*/1.0);
+  ASSERT_EQ(weak.ion_a(n1um), 0.0);
+  Netlist nl;
+  const NodeId g = nl.add_node("G");
+  const NodeId d = nl.add_node("D");
+  nl.add_device("m", n1um, DeviceRole::kOther, g, d, nl.gnd());
+  const LeakageSolver solver(nl, weak);
+
+  NodeVoltages off(nl, weak.vdd_v());
+  off.set(g, 0.0);
+  off.set(d, weak.vdd_v());
+  EXPECT_GT(solver.solve(off).subthreshold_w, 0.0);
+
+  NodeVoltages on(nl, weak.vdd_v());
+  on.set(g, 3.0 * weak.vdd_v());
+  on.set(d, 0.5 * weak.vdd_v());
+  EXPECT_THROW(solver.solve(on), std::domain_error);
+}
+
 TEST_F(LeakageTest, FloatingNodeBetweenOffDevicesSettles) {
   // A wire segment isolated by OFF switches from Vdd-ish and GND-ish
   // drivers floats to an equilibrium strictly inside the rails.

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "core/context.hpp"
 #include "noc/rng.hpp"
@@ -68,6 +70,42 @@ TEST(ScenarioRegistry, ScenariosRejectForeignFlags) {
   EXPECT_THROW(parse(breakeven, {"--rates", "0.5"}), std::invalid_argument);
   const Scenario& table1 = *reg.find("table1");
   EXPECT_THROW(parse(table1, {"--temps", "25"}), std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, MeshScalingRejectsTelemetryFlags) {
+  // mesh_scaling's timed runs carry no metrics stream, so its flag set
+  // leaves the telemetry flags out: they fail like any foreign flag
+  // instead of being accepted and leaving an empty stream behind.
+  const ScenarioRegistry& reg = ScenarioRegistry::builtin();
+  const Scenario& scaling = *reg.find("mesh_scaling");
+  EXPECT_FALSE(scaling.telemetry);
+  const std::vector<std::vector<const char*>> telemetry_args = {
+      {"--metrics-window", "50"},      {"--metrics-out", "m.jsonl"},
+      {"--trace-flits", "8"},          {"--abort-on-saturation", "3"},
+      {"--abort-on-disconnect"},       {"--progress"}};
+  for (const std::vector<const char*>& argv : telemetry_args) {
+    EXPECT_THROW(parse(scaling, argv), std::invalid_argument) << argv[0];
+  }
+  const std::string usage = reg.usage_for(scaling);
+  EXPECT_EQ(usage.find("--metrics-window"), std::string::npos);
+  EXPECT_EQ(usage.find("--progress"), std::string::npos);
+  EXPECT_NE(usage.find("--cycle-skip"), std::string::npos);
+  EXPECT_NE(usage.find("--fault-links"), std::string::npos);
+
+  // The CLI driver exits 2 before it opens the metrics file.
+  const std::string path = testing::TempDir() + "mesh_scaling_metrics.jsonl";
+  std::remove(path.c_str());
+  const char* argv[] = {"--radices",     "4", "--metrics-window", "50",
+                        "--metrics-out", path.c_str()};
+  EXPECT_EQ(run_scenario_cli(reg, scaling, 6, argv), 2);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  EXPECT_EQ(f, nullptr);
+  if (f != nullptr) std::fclose(f);
+
+  // Scenarios that stream keep accepting them.
+  const Scenario& sweep = *reg.find("injection_sweep");
+  EXPECT_TRUE(sweep.telemetry);
+  EXPECT_NO_THROW(parse(sweep, {"--metrics-window", "50", "--progress"}));
 }
 
 TEST(ScenarioSpec, BuildAppliesLayeredDefaults) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -381,31 +382,35 @@ TEST(SweepService, ThrowingJobPoisonsOnlyItselfNotTheDaemon) {
       "\"fault-routers\":\"1\"}");
   client.send_line(kSmallJob);  // concurrent healthy job
 
-  std::string id_bad, id_good;
+  // The service queues a job before it writes the accepted frame, and
+  // the bad job fails fast, so its error and done frames may arrive
+  // before either accepted frame.  Collect every frame per job id
+  // until both jobs are acknowledged and terminal.
+  std::vector<std::string> accepted;
+  std::set<std::string> error_frames;
+  std::map<std::string, std::string> states, errors;
+  auto both_terminal = [&] {
+    return accepted.size() == 2 && states.count(accepted[0]) != 0 &&
+           states.count(accepted[1]) != 0;
+  };
   std::string line;
-  while (id_good.empty() && client.read_line(&line)) {
-    if (frame_type(line) == "accepted") {
-      (id_bad.empty() ? id_bad : id_good) = frame_field(line, "job");
-    }
-  }
-  ASSERT_FALSE(id_bad.empty());
-  ASSERT_FALSE(id_good.empty());
-
-  bool bad_error_frame = false;
-  std::string bad_state, good_state, bad_error;
-  while ((bad_state.empty() || good_state.empty()) &&
-         client.read_line(&line)) {
+  while (!both_terminal() && client.read_line(&line)) {
     const std::string type = frame_type(line);
     const std::string job = frame_field(line, "job");
-    if (type == "error" && job == id_bad) bad_error_frame = true;
-    if (type != "done") continue;
-    if (job == id_bad) {
-      bad_state = frame_field(line, "state");
-      bad_error = frame_field(line, "error");
-    } else if (job == id_good) {
-      good_state = frame_field(line, "state");
+    if (type == "accepted") accepted.push_back(job);
+    if (type == "error" && !job.empty()) error_frames.insert(job);
+    if (type == "done") {
+      states[job] = frame_field(line, "state");
+      errors[job] = frame_field(line, "error");
     }
   }
+  ASSERT_EQ(accepted.size(), 2u);
+  const std::string& id_bad = accepted[0];  // submits are acked in order
+  const std::string& id_good = accepted[1];
+  const bool bad_error_frame = error_frames.count(id_bad) != 0;
+  const std::string bad_state = states[id_bad];
+  const std::string bad_error = errors[id_bad];
+  const std::string good_state = states[id_good];
   // The throwing job died alone — job-scoped error frame, failed
   // terminal state carrying the diagnostic — while the healthy job
   // completed on the surviving pool.

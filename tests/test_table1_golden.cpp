@@ -1,7 +1,7 @@
 // Golden test: the regenerated Table 1 must reproduce the paper's
 // *shape* — who wins, by roughly what factor, where penalties appear.
-// Absolute tolerances reflect the calibration documented in
-// EXPERIMENTS.md: the SC baseline column is matched tightly; per-scheme
+// Absolute tolerances reflect the calibration documented in README,
+// "Calibration": the SC baseline column is matched tightly; per-scheme
 // deltas emerge from circuit structure and are checked against bands.
 
 #include <gtest/gtest.h>

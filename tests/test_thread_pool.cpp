@@ -60,6 +60,9 @@ TEST(ThreadPool, PostRunsDetachedTask) {
   std::mutex mu;
   std::condition_variable cv;
   pool.post([&] {
+    // Notify under the waiter's mutex: otherwise the notify can land
+    // between the waiter's predicate check and its block, and is lost.
+    const std::lock_guard<std::mutex> lock(mu);
     ran = true;
     cv.notify_one();
   });
@@ -99,7 +102,10 @@ TEST(SpinBarrier, KeepsThreadsInLockstep) {
         }
         barrier.arrive_and_wait();
       }
-      if (++done == kThreads) cv.notify_one();
+      if (++done == kThreads) {
+        const std::lock_guard<std::mutex> lock(mu);  // no lost wakeup
+        cv.notify_one();
+      }
     });
   }
   std::unique_lock<std::mutex> lock(mu);
@@ -126,6 +132,7 @@ TEST(SpinBarrier, PublishesWritesAcrossTheCrossing) {
       barrier.arrive_and_wait();  // publish
       barrier.arrive_and_wait();  // wait for the check
     }
+    const std::lock_guard<std::mutex> lock(mu);  // no lost wakeup
     done = true;
     cv.notify_one();
   });

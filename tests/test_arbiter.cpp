@@ -1,6 +1,7 @@
 #include "noc/arbiter.hpp"
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,13 @@ struct ArbCase {
   const char* kind;
   int inputs;
 };
+
+// Print the case by value, not as raw bytes: the default byte dump
+// shows the address of `kind` and struct padding, which differ on every
+// run, and CTest builds the test name from this text.
+void PrintTo(const ArbCase& c, std::ostream* os) {
+  *os << c.kind << '_' << c.inputs;
+}
 
 class StarvationFreedom : public ::testing::TestWithParam<ArbCase> {};
 
